@@ -19,6 +19,12 @@ cargo test -q
 echo "== workspace tests =="
 cargo test --workspace -q
 
+echo "== crypto tests, optimised (runtime-selected SHA-1 kernel vs portable reference) =="
+cargo test --release -p proverguard-crypto
+
+echo "== benchmark package tests (catches library API changes that break perfbench) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== attest pipeline conformance (segcache / imagecache / golden vectors / session model) =="
 cargo test -q --test segcache_coherence --test imagecache_coherence --test golden_vectors --test session_state_machine
 

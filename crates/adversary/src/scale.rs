@@ -152,13 +152,8 @@ fn pump_client(client: &mut Client) -> Verdict {
                 let Some(reply) = client.sim.respond(&raw) else {
                     return Verdict::Failed;
                 };
-                if client
-                    .nb
-                    .enqueue_send(&GatewayMsg::AttResp(reply).encode())
-                    .is_err()
-                    || client.nb.flush().is_err()
-                {
-                    return Verdict::Failed;
+                if let Err(verdict) = send(client.nb.as_mut(), &GatewayMsg::AttResp(reply)) {
+                    return verdict;
                 }
             }
             Ok(GatewayMsg::Busy) => return Verdict::Shed,
@@ -173,6 +168,22 @@ fn pump_client(client: &mut Client) -> Verdict {
             Ok(_) | Err(_) => return Verdict::Failed,
         }
     }
+}
+
+/// Enqueues and flushes `msg`. A link that fails under the write is
+/// booked as shed if the gateway queued `Busy` before hanging up — the
+/// shed path sends `Busy` and drops the connection, which can happen
+/// before this client's first write — and as failed otherwise.
+fn send(nb: &mut dyn NbTransport, msg: &GatewayMsg) -> Result<(), Verdict> {
+    if nb.enqueue_send(&msg.encode()).is_ok() && nb.flush().is_ok() {
+        return Ok(());
+    }
+    while let Ok(Some(frame)) = nb.try_recv() {
+        if matches!(GatewayMsg::decode(&frame), Ok(GatewayMsg::Busy)) {
+            return Err(Verdict::Shed);
+        }
+    }
+    Err(Verdict::Failed)
 }
 
 /// Dials one connection per `(device_id, device)` pair and plays every
@@ -213,8 +224,11 @@ pub fn drive_oneshot_wave(
         let hello = GatewayMsg::Hello {
             device_id: *device_id,
         };
-        if nb.enqueue_send(&hello.encode()).is_err() || nb.flush().is_err() {
-            report.failed += 1;
+        if let Err(verdict) = send(nb.as_mut(), &hello) {
+            match verdict {
+                Verdict::Shed => report.shed += 1,
+                _ => report.failed += 1,
+            }
             clients.push(None);
             continue;
         }
@@ -269,6 +283,8 @@ mod tests {
     use super::*;
     use proverguard_attest::prover::ProverConfig;
     use proverguard_attest::verifier::Verifier;
+    use proverguard_transport::frame::DEFAULT_MAX_FRAME;
+    use proverguard_transport::{Acceptor, LoopbackHub};
 
     const KEY: [u8; 16] = [0x42; 16];
 
@@ -321,6 +337,35 @@ mod tests {
             !verifier.check_response(&request, &response, &other),
             "response must be bound to the presented image"
         );
+    }
+
+    /// The shed path races the client's first write: the gateway may
+    /// queue `Busy` and hang up before `Hello` is flushed. That dial was
+    /// shed, not failed.
+    #[test]
+    fn busy_before_hello_flush_counts_as_shed() {
+        let (mut hub, connector) = LoopbackHub::new(DEFAULT_MAX_FRAME);
+        let client = connector.connect().expect("dial");
+        let mut server = hub
+            .poll_accept(Duration::ZERO)
+            .expect("hub open")
+            .expect("queued connection");
+        server.send(&GatewayMsg::Busy.encode()).expect("send Busy");
+        drop(server);
+
+        let mut nb = (Box::new(client) as Box<dyn Transport>)
+            .into_nb()
+            .expect("loopback goes non-blocking");
+        let hello = GatewayMsg::Hello { device_id: 7 };
+        assert!(matches!(send(nb.as_mut(), &hello), Err(Verdict::Shed)));
+
+        // Hung up without `Busy`: a failed dial.
+        let client = connector.connect().expect("dial");
+        drop(hub.poll_accept(Duration::ZERO).expect("hub open"));
+        let mut nb = (Box::new(client) as Box<dyn Transport>)
+            .into_nb()
+            .expect("loopback goes non-blocking");
+        assert!(matches!(send(nb.as_mut(), &hello), Err(Verdict::Failed)));
     }
 
     #[test]

@@ -190,28 +190,21 @@ pub fn counter_r_offset() -> usize {
     (map::COUNTER_R.start - map::RAM.start) as usize
 }
 
-/// Like [`patch_expected_image`], but reports which segment (at
-/// `segment_len`-byte granularity) the patch wrote into, so an
-/// image-digest cache can re-derive exactly one segment digest instead of
-/// sweeping the whole image. Returns `None` when the image was left
-/// untouched (nonce / no-freshness field, or an image too short to hold
-/// the word) or when `segment_len` is zero (no digest granularity in
-/// effect).
-pub fn patch_expected_image_tracked(
-    image: &mut [u8],
-    field: &FreshnessField,
-    segment_len: u32,
-) -> Option<usize> {
-    let touches = matches!(
-        field,
-        FreshnessField::Counter(_) | FreshnessField::Timestamp(_)
-    );
-    patch_expected_image(image, field);
+/// The `counter_R` word a request carrying `field` makes the prover
+/// commit before MACing, as `(offset, bytes)` inside an expected RAM image
+/// of `image_len` bytes — what [`patch_expected_image`] would write, for
+/// callers that overlay the word on a shared image instead of copying it.
+/// `None` when the request leaves the image untouched (nonce or no
+/// freshness field, or an image too short to hold the word).
+#[must_use]
+pub fn expected_word(field: &FreshnessField, image_len: usize) -> Option<(usize, [u8; 8])> {
+    let value = match field {
+        FreshnessField::Counter(c) => *c,
+        FreshnessField::Timestamp(t) => *t,
+        FreshnessField::None | FreshnessField::Nonce(_) => return None,
+    };
     let off = counter_r_offset();
-    if !touches || segment_len == 0 || image.len() < off + 8 {
-        return None;
-    }
-    Some(off / segment_len as usize)
+    (image_len >= off + 8).then(|| (off, value.to_le_bytes()))
 }
 
 /// Patches a verifier-side expected RAM image so its gated-command
@@ -407,6 +400,28 @@ mod tests {
         let mut tiny = vec![0u8; 4];
         patch_expected_image(&mut tiny, &FreshnessField::Counter(1));
         assert_eq!(tiny, vec![0u8; 4]);
+    }
+
+    #[test]
+    fn expected_word_is_what_patching_writes() {
+        let fields = [
+            FreshnessField::None,
+            FreshnessField::Nonce([3; NONCE_SIZE]),
+            FreshnessField::Counter(0x0102_0304_0506_0708),
+            FreshnessField::Timestamp(99),
+        ];
+        for len in [0usize, 7, 8, 64] {
+            for field in &fields {
+                let base = vec![0xEEu8; len];
+                let mut patched = base.clone();
+                patch_expected_image(&mut patched, field);
+                let mut overlaid = base;
+                if let Some((off, word)) = expected_word(field, len) {
+                    overlaid[off..off + 8].copy_from_slice(&word);
+                }
+                assert_eq!(overlaid, patched, "{field:?} on {len} bytes");
+            }
+        }
     }
 
     #[test]

@@ -339,60 +339,43 @@ pub struct DeviceEntry {
     service_floor_ms: u64,
 }
 
-/// One device's expected image, split into the fleet-shared interned
-/// baseline and a persistent per-device scratch buffer that only ever
-/// diverges from that baseline at the freshness word. Patching for a
-/// request writes 8 bytes in place — the per-attempt full-image clone the
-/// thread-pool gateway originally paid is gone.
+/// One device's expected image: the fleet-shared interned baseline plus
+/// the only thing a device's image differs from it in — the freshness
+/// word its prover commits before MACing. Binding a request writes 8
+/// bytes here; no per-device copy of the image exists.
 #[derive(Debug)]
 struct DeviceImage {
     baseline: Arc<CachedImage>,
-    scratch: Vec<u8>,
-    /// Segment indices where `scratch` currently differs from `baseline`
-    /// (at the baseline's digest granularity). In steady state this is
-    /// exactly the segment holding `counter_R`.
+    /// `(offset, bytes)` of the freshness word laid over `baseline` for
+    /// the current request, `None` when the request leaves the image as
+    /// is (nonce or no freshness).
+    word: Option<(usize, [u8; 8])>,
+    /// Segment indices (at the baseline's digest granularity, ascending)
+    /// that `word` lands in: exactly the segment holding `counter_R` in
+    /// steady state.
     patched: Vec<usize>,
 }
 
 impl DeviceImage {
-    fn new(cache: &ImageCache, scratch: Vec<u8>, segment_len: u32) -> DeviceImage {
-        let baseline = cache.intern(&scratch, segment_len);
+    fn new(cache: &ImageCache, expected_memory: &[u8], segment_len: u32) -> DeviceImage {
+        let baseline = cache.intern(expected_memory, segment_len);
         cache.note_scratch_rebuild();
         DeviceImage {
             baseline,
-            scratch,
+            word: None,
             patched: Vec::new(),
         }
     }
 
-    /// Brings `scratch` to the image the device will present for a
-    /// request carrying `field`: the baseline everywhere except the
-    /// freshness word the prover commits before MACing (reject-then-MAC
-    /// ordering, §4.2).
+    /// Binds the image the device will present for a request carrying
+    /// `field`: the baseline everywhere except the freshness word the
+    /// prover commits before MACing (reject-then-MAC ordering, §4.2).
     fn patch(&mut self, field: &FreshnessField) {
-        match field {
-            FreshnessField::Counter(_) | FreshnessField::Timestamp(_) => {
-                if let Some(seg) = crate::freshness::patch_expected_image_tracked(
-                    &mut self.scratch,
-                    field,
-                    self.baseline.segment_len(),
-                ) {
-                    if !self.patched.contains(&seg) {
-                        self.patched.push(seg);
-                    }
-                }
-            }
-            FreshnessField::None | FreshnessField::Nonce(_) => {
-                // These leave the device image untouched — restore the
-                // word a previous counter/timestamp request patched so
-                // the scratch matches the baseline again.
-                let off = crate::freshness::counter_r_offset();
-                if self.scratch.len() >= off + 8 {
-                    self.scratch[off..off + 8]
-                        .copy_from_slice(&self.baseline.bytes()[off..off + 8]);
-                }
-                self.patched.clear();
-            }
+        self.word = crate::freshness::expected_word(field, self.baseline.bytes().len());
+        self.patched.clear();
+        let seg_len = self.baseline.segment_len() as usize;
+        if let (Some((off, _)), true) = (self.word, seg_len > 0) {
+            self.patched.extend(off / seg_len..=(off + 7) / seg_len);
         }
     }
 }
@@ -452,7 +435,7 @@ impl DeviceDirectory {
     ) -> u64 {
         let id = self.entries.len() as u64;
         let segment_len = verifier.segmented_params().map_or(0, |p| p.segment_len);
-        let image = DeviceImage::new(&self.cache, expected_memory, segment_len);
+        let image = DeviceImage::new(&self.cache, &expected_memory, segment_len);
         self.entries.push(DeviceEntry {
             verifier: Mutex::new(verifier),
             image: Mutex::new(image),
@@ -468,7 +451,7 @@ impl DeviceDirectory {
     /// directory is shared read-only with running workers, and each
     /// entry's image has its own lock.
     ///
-    /// The new image is re-interned and the device's scratch rebuilt; if
+    /// The new image is re-interned and the device's view rebound; if
     /// this device was the last one pointing at the superseded baseline,
     /// its cache entry is invalidated, so a stale digest vector can never
     /// outlive a retarget.
@@ -481,13 +464,13 @@ impl DeviceDirectory {
                     let mut image = entry.image.lock().expect("image lock poisoned");
                     let segment_len = image.baseline.segment_len();
                     let old = Arc::clone(&image.baseline);
-                    *image = DeviceImage::new(&self.cache, expected_memory, segment_len);
+                    *image = DeviceImage::new(&self.cache, &expected_memory, segment_len);
                     old
                 };
                 // Strong count 2 = this handle + the cache's slot: no
                 // other device entry still references the old baseline.
                 // (A re-target to the *same* image holds a third
-                // reference through the rebuilt scratch, protecting the
+                // reference through the rebound image, protecting the
                 // entry from self-invalidation.)
                 if Arc::strong_count(&old) <= 2 {
                     self.cache.invalidate(old.key());
@@ -561,9 +544,9 @@ impl DeviceDirectory {
 impl DeviceEntry {
     /// Runs `f` with the expected-image view for a request carrying
     /// `field`: touches the shared cache (hit accounting + LRU refresh,
-    /// refilling an evicted baseline for free), patches the persistent
-    /// scratch in place, and exposes baseline digests so Segmented and
-    /// History checks re-digest only the freshness segment.
+    /// refilling an evicted baseline for free), binds the freshness word
+    /// over the shared baseline, and exposes baseline digests so
+    /// Segmented and History checks re-digest only the freshness segment.
     fn with_expected<R>(
         &self,
         field: &FreshnessField,
@@ -574,10 +557,10 @@ impl DeviceEntry {
         image.patch(field);
         let DeviceImage {
             baseline,
-            scratch,
+            word,
             patched,
         } = &*image;
-        f(&ExpectedView::cached(scratch, baseline, patched))
+        f(&ExpectedView::cached(baseline, *word, patched))
     }
 
     /// Verifies `response` against the cached expected view and records

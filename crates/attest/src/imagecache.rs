@@ -27,10 +27,11 @@
 //!   that satisfy a CI-checked conservation law
 //!   ([`ImageCacheSnapshot::conservation_holds`]).
 //! - [`ExpectedView`] — what the verifier actually checks against: the
-//!   (freshness-patched) expected bytes plus, when available, the
-//!   baseline digest vector and the list of segments the patch touched.
-//!   Segmented and History verification re-digest only the patched
-//!   segments; everything else comes straight from the baseline.
+//!   shared baseline bytes with the request's 8-byte freshness word laid
+//!   over them (no per-device copy), plus, when available, the baseline
+//!   digest vector and the segments the word lands in. Segmented and
+//!   History verification re-digest only those segments; everything else
+//!   comes straight from the baseline.
 //!
 //! **Why outer MACs stay per-device:** the combine MAC
 //! (`MAC(K, header ‖ … ‖ d_0 … d_{n-1})`, DESIGN §12) is keyed with the
@@ -42,9 +43,9 @@
 //! **Invalidation rules:** an entry is dropped when a campaign wave or
 //! `UpdateFirmware` re-targets devices away from it
 //! ([`ImageCache::invalidate`], driven by
-//! `CampaignController::drain_retargets`), and the per-device scratch +
-//! patched-segment list is rebuilt whenever the device's expected image
-//! changes (`DeviceDirectory::set_expected_memory`) — History-scope
+//! `CampaignController::drain_retargets`), and the per-device baseline
+//! handle + patched-segment list is rebound whenever the device's expected
+//! image changes (`DeviceDirectory::set_expected_memory`) — History-scope
 //! rounds therefore never consult digests cached before the claimed
 //! epoch: the view they see is always derived from the *current*
 //! baseline.
@@ -178,9 +179,9 @@ pub struct ImageCacheSnapshot {
     pub distinct_keys: u64,
     /// Full digest sweeps performed at interning time.
     pub digest_sweeps: u64,
-    /// Per-device scratch buffers (re)built — once per registration or
-    /// expected-image change, **never** per verification attempt. The
-    /// allocation-free steady-state regression asserts exactly this.
+    /// Per-device expected images (re)bound to a baseline — once per
+    /// registration or expected-image change, **never** per verification
+    /// attempt. The steady-state regression asserts exactly this.
     pub scratch_rebuilds: u64,
 }
 
@@ -422,9 +423,9 @@ impl ImageCache {
         dropped
     }
 
-    /// Records one per-device scratch-buffer (re)build — called by the
-    /// device directory at registration and expected-image changes so
-    /// tests can assert the steady state performs none.
+    /// Records one per-device image (re)binding — called by the device
+    /// directory at registration and expected-image changes so tests can
+    /// assert the steady state performs none.
     pub fn note_scratch_rebuild(&self) {
         self.scratch_rebuilds.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("imagecache.scratch_rebuild", 1);
@@ -447,13 +448,16 @@ impl ImageCache {
     }
 }
 
-/// What the verifier checks a response against: the freshness-patched
-/// expected bytes, plus — when the device's expected image is interned —
-/// the baseline digest vector and the indices of the segments the patch
-/// diverged from that baseline. Verification re-digests only those.
+/// What the verifier checks a response against, without a per-device
+/// copy of the image: the expected bytes are the interned baseline with,
+/// for a counter or timestamp request, the 8-byte freshness word the
+/// prover commits laid over it. With a baseline attached, digests come
+/// from its precomputed vector and only the segments the word lands in
+/// (`patched`) are re-digested.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpectedView<'a> {
     memory: &'a [u8],
+    word: Option<(usize, [u8; 8])>,
     baseline: Option<&'a CachedImage>,
     patched: &'a [usize],
 }
@@ -466,39 +470,74 @@ impl<'a> ExpectedView<'a> {
     pub fn uncached(memory: &'a [u8]) -> Self {
         ExpectedView {
             memory,
+            word: None,
             baseline: None,
             patched: &[],
         }
     }
 
-    /// A view of `memory` known to equal `baseline` everywhere except the
-    /// segments listed in `patched`. Falls back to uncached behaviour if
-    /// the lengths disagree (a stale handle after an image change — the
-    /// verdict stays correct, only the sharing is lost).
+    /// The image `baseline` with `word` — `(offset, bytes)`, e.g. from
+    /// [`crate::freshness::expected_word`] — laid over it. `patched`
+    /// lists, in increasing order, the segments at the baseline's
+    /// granularity that the word lands in: the only digests re-derived.
+    /// A word that does not fit inside the image is ignored.
     #[must_use]
-    pub fn cached(memory: &'a [u8], baseline: &'a CachedImage, patched: &'a [usize]) -> Self {
-        let baseline = (memory.len() == baseline.bytes().len()).then_some(baseline);
+    pub fn cached(
+        baseline: &'a CachedImage,
+        word: Option<(usize, [u8; 8])>,
+        patched: &'a [usize],
+    ) -> Self {
+        assert!(
+            patched.windows(2).all(|w| w[0] < w[1]),
+            "patched segments must be strictly increasing"
+        );
+        let memory = baseline.bytes();
         ExpectedView {
             memory,
-            baseline,
+            word: word.filter(|&(off, _)| off.checked_add(8).is_some_and(|e| e <= memory.len())),
+            baseline: Some(baseline),
             patched,
         }
     }
 
-    /// The patched expected bytes.
+    /// The image bytes **without** the freshness word: the shared
+    /// baseline for a cached view, the bytes themselves for an uncached
+    /// one. Its length is the expected image's; [`Self::parts`] gives the
+    /// exact expected bytes.
     #[must_use]
-    pub fn memory(&self) -> &[u8] {
+    pub fn memory(&self) -> &'a [u8] {
         self.memory
     }
 
-    fn baseline_at(&self, segment_len: usize) -> Option<&'a CachedImage> {
-        let base = self.baseline?;
-        (base.segment_len() as usize == segment_len
-            && base.digests().len() == self.memory.len().div_ceil(segment_len.max(1)))
-        .then_some(base)
+    /// The expected bytes of `start..end` (clamped to the image) as three
+    /// slices to concatenate: baseline before the word, the part of the
+    /// word inside the range, baseline after it. Either of the last two
+    /// may be empty.
+    #[must_use]
+    pub fn parts(&self, start: usize, end: usize) -> [&[u8]; 3] {
+        let end = end.min(self.memory.len());
+        let start = start.min(end);
+        let whole = [&self.memory[start..end], &[][..], &[][..]];
+        let Some((off, word)) = &self.word else {
+            return whole;
+        };
+        let (from, to) = ((*off).clamp(start, end), (off + 8).clamp(start, end));
+        if from == to {
+            return whole;
+        }
+        [
+            &self.memory[start..from],
+            &word[from - off..to - off],
+            &self.memory[to..end],
+        ]
     }
 
-    /// The full digest vector of [`Self::memory`] at `segment_len`
+    fn baseline_at(&self, segment_len: usize) -> Option<&'a CachedImage> {
+        self.baseline
+            .filter(|base| base.segment_len() as usize == segment_len)
+    }
+
+    /// The full digest vector of the expected bytes at `segment_len`
     /// granularity: the baseline vector with only the patched segments
     /// re-digested when a matching baseline is present, a full sweep
     /// otherwise.
@@ -516,12 +555,48 @@ impl<'a> ExpectedView<'a> {
             out
         } else {
             metrics::counter_add("imagecache.digest_sweep_fallback", 1);
-            segcache::segment_digests(self.memory, seg_len)
+            (0..self.memory.len().div_ceil(seg_len))
+                .map(|i| self.digest_of(i, seg_len))
+                .collect()
         }
     }
 
+    /// Runs `f` on gather parts whose concatenation is `head` followed by
+    /// [`Self::digests`]: runs of baseline digests are borrowed in place
+    /// and only the patched segments are digested, so the verifier MACs
+    /// the combine input without copying the vector.
+    pub fn with_digest_parts<R>(
+        &self,
+        segment_len: usize,
+        head: &[&[u8]],
+        f: impl FnOnce(&[&[u8]]) -> R,
+    ) -> R {
+        let seg_len = segment_len.max(1);
+        let Some(base) = self.baseline_at(seg_len) else {
+            let digests = self.digests(seg_len);
+            return f(&[head, &[digests.as_flattened()]].concat());
+        };
+        let digests = base.digests();
+        let patched = &self.patched[..self.patched.partition_point(|&i| i < digests.len())];
+        let fresh: Vec<[u8; DIGEST_SIZE]> = patched
+            .iter()
+            .map(|&i| self.digest_of(i, seg_len))
+            .collect();
+        metrics::counter_add("imagecache.digest_patched", fresh.len() as u64);
+        let mut parts = Vec::with_capacity(head.len() + 2 * fresh.len() + 1);
+        parts.extend_from_slice(head);
+        let mut next = 0;
+        for (&i, digest) in patched.iter().zip(&fresh) {
+            parts.push(digests[next..i].as_flattened());
+            parts.push(digest);
+            next = i + 1;
+        }
+        parts.push(digests[next..].as_flattened());
+        f(&parts)
+    }
+
     /// The digest of segment `index` alone: straight from the baseline
-    /// when it is valid for that segment, recomputed from the patched
+    /// when it is valid for that segment, recomputed from the expected
     /// bytes otherwise.
     #[must_use]
     pub fn segment_digest_at(&self, index: usize, segment_len: usize) -> [u8; DIGEST_SIZE] {
@@ -537,9 +612,11 @@ impl<'a> ExpectedView<'a> {
     }
 
     fn digest_of(&self, index: usize, seg_len: usize) -> [u8; DIGEST_SIZE] {
-        let start = (index * seg_len).min(self.memory.len());
-        let end = (start + seg_len).min(self.memory.len());
-        segcache::segment_digest(index as u32, &self.memory[start..end])
+        let start = index.saturating_mul(seg_len);
+        segcache::segment_digest_parts(
+            index as u32,
+            &self.parts(start, start.saturating_add(seg_len)),
+        )
     }
 }
 
@@ -627,37 +704,43 @@ mod tests {
     fn view_patched_digests_match_full_sweep() {
         let base_img = image(9, 1000); // trailing partial segment
         let baseline = CachedImage::compute(base_img.clone(), 256);
-        let mut patched_img = base_img.clone();
-        patched_img[0] ^= 0xff; // segment 0
-        patched_img[999] ^= 0xff; // segment 3 (partial)
-        let patched = [0usize, 3];
-        let view = ExpectedView::cached(&patched_img, &baseline, &patched);
-        assert_eq!(
-            view.digests(256),
-            segcache::segment_digests(&patched_img, 256)
-        );
-        for i in 0..4 {
-            assert_eq!(
-                view.segment_digest_at(i, 256),
-                segcache::segment_digests(&patched_img, 256)[i]
-            );
+        // A word straddling segments 0 and 1, and one inside the partial
+        // segment 3.
+        for (off, patched) in [(252usize, &[0usize, 1][..]), (990, &[3][..])] {
+            let word = [0xA5u8, 1, 2, 3, 4, 5, 6, 7];
+            let mut patched_img = base_img.clone();
+            patched_img[off..off + 8].copy_from_slice(&word);
+            let view = ExpectedView::cached(&baseline, Some((off, word)), patched);
+            let sweep = segcache::segment_digests(&patched_img, 256);
+            assert_eq!(view.digests(256), sweep);
+            for (i, digest) in sweep.iter().enumerate() {
+                assert_eq!(view.segment_digest_at(i, 256), *digest);
+            }
+            assert_eq!(view.parts(0, usize::MAX).concat(), patched_img);
+            assert_eq!(view.memory(), &base_img[..]);
+            view.with_digest_parts(256, &[b"head"], |parts| {
+                assert_eq!(
+                    parts.concat(),
+                    [&b"head"[..], sweep.as_flattened()].concat()
+                );
+            });
+            // Uncached view of the patched copy agrees too.
+            assert_eq!(ExpectedView::uncached(&patched_img).digests(256), sweep);
         }
-        // Uncached view agrees too.
-        assert_eq!(
-            ExpectedView::uncached(&patched_img).digests(256),
-            segcache::segment_digests(&patched_img, 256)
-        );
     }
 
     #[test]
     fn view_falls_back_on_mismatched_baseline() {
-        let baseline = CachedImage::compute(image(9, 1024), 256);
-        let other = image(9, 512); // different length
-        let view = ExpectedView::cached(&other, &baseline, &[]);
-        assert_eq!(view.digests(256), segcache::segment_digests(&other, 256));
-        // Granularity mismatch: baseline at 256, asked at 128.
+        // Baseline digested at 256, asked at 128: the view sweeps.
         let img = image(9, 1024);
-        let view = ExpectedView::cached(&img, &baseline, &[]);
+        let baseline = CachedImage::compute(img.clone(), 256);
+        let view = ExpectedView::cached(&baseline, None, &[]);
         assert_eq!(view.digests(128), segcache::segment_digests(&img, 128));
+        view.with_digest_parts(128, &[], |parts| {
+            assert_eq!(
+                parts.concat(),
+                segcache::segment_digests(&img, 128).concat()
+            );
+        });
     }
 }

@@ -1009,9 +1009,7 @@ impl Prover {
             .mac_cost(self.config.response_mac, ram.len() + message.len());
         Ok(
             self.charge_stage("prover.attest_mac", cost.response_cycles, |p| {
-                let mut macced = message;
-                macced.extend_from_slice(&ram);
-                p.response_key.compute(&macced)
+                p.response_key.compute_parts(&[&message, &ram])
             }),
         )
     }

@@ -94,11 +94,22 @@ impl SegmentedParams {
 /// short trailing segment cannot stand in for a full one.
 #[must_use]
 pub fn segment_digest(index: u32, bytes: &[u8]) -> [u8; DIGEST_SIZE] {
+    segment_digest_parts(index, &[bytes])
+}
+
+/// [`segment_digest`] of the segment whose bytes are
+/// `parts[0] ‖ parts[1] ‖ …` — how the verifier digests a shared baseline
+/// segment with a patched word laid over it, without copying it.
+#[must_use]
+pub fn segment_digest_parts(index: u32, parts: &[&[u8]]) -> [u8; DIGEST_SIZE] {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
     let mut h = Sha1::new();
     h.update(SEGMENT_DOMAIN);
     h.update(&index.to_le_bytes());
-    h.update(&(bytes.len() as u32).to_le_bytes());
-    h.update(bytes);
+    h.update(&(len as u32).to_le_bytes());
+    for part in parts {
+        h.update(part);
+    }
     h.finalize()
 }
 
@@ -119,15 +130,18 @@ pub fn segment_digests(memory: &[u8], segment_len: usize) -> Vec<[u8; DIGEST_SIZ
 /// `message ‖ COMBINE_MAGIC ‖ segment_len ‖ digest count ‖ d_0 ‖ … ‖ d_{n-1}`.
 #[must_use]
 pub fn combined_input(message: &[u8], segment_len: u32, digests: &[[u8; DIGEST_SIZE]]) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(message.len() + COMBINE_MAGIC.len() + 8 + digests.len() * DIGEST_SIZE);
-    out.extend_from_slice(message);
-    out.extend_from_slice(COMBINE_MAGIC);
-    out.extend_from_slice(&segment_len.to_le_bytes());
-    out.extend_from_slice(&(digests.len() as u32).to_le_bytes());
-    for d in digests {
-        out.extend_from_slice(d);
-    }
+    let header = combine_header(segment_len, digests.len());
+    [message, &header, digests.as_flattened()].concat()
+}
+
+/// The fixed part of the combine-MAC input between the request header and
+/// the digests: `COMBINE_MAGIC ‖ segment_len ‖ digest count`.
+#[must_use]
+pub fn combine_header(segment_len: u32, digest_count: usize) -> [u8; COMBINE_MAGIC.len() + 8] {
+    let mut out = [0u8; COMBINE_MAGIC.len() + 8];
+    out[..6].copy_from_slice(COMBINE_MAGIC);
+    out[6..10].copy_from_slice(&segment_len.to_le_bytes());
+    out[10..].copy_from_slice(&(digest_count as u32).to_le_bytes());
     out
 }
 

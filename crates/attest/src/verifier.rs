@@ -355,18 +355,24 @@ impl Verifier {
     ) -> bool {
         match request.scope {
             AttestScope::Whole => {
-                let mut macced = request.signed_bytes();
-                macced.extend_from_slice(expected.memory());
-                self.response_key.verify(&macced, &response.report)
+                let header = request.signed_bytes();
+                let [before, word, after] = expected.parts(0, usize::MAX);
+                self.response_key
+                    .verify_parts(&[&header, before, word, after], &response.report)
             }
             AttestScope::Segmented => {
                 let Some(params) = &self.segmented else {
                     return false;
                 };
-                let digests = expected.digests(params.segment_len as usize);
-                let combined =
-                    segcache::combined_input(&request.signed_bytes(), params.segment_len, &digests);
-                self.response_key.verify(&combined, &response.report)
+                let seg_len = (params.segment_len as usize).max(1);
+                let header = request.signed_bytes();
+                let combine = segcache::combine_header(
+                    params.segment_len,
+                    expected.memory().len().div_ceil(seg_len),
+                );
+                expected.with_digest_parts(seg_len, &[&header, &combine], |parts| {
+                    self.response_key.verify_parts(parts, &response.report)
+                })
             }
             AttestScope::History { since_round } => {
                 let Some(params) = &self.segmented else {

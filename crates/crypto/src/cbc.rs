@@ -106,23 +106,46 @@ fn check_lengths<C: BlockCipher>(iv: &[u8], data: &[u8]) -> Result<(), CryptoErr
 /// ```
 #[must_use]
 pub fn cbc_mac<C: BlockCipher>(cipher: &C, message: &[u8]) -> Vec<u8> {
+    cbc_mac_parts(cipher, &[message])
+}
+
+/// [`cbc_mac`] over `parts[0] ‖ parts[1] ‖ …` without concatenating the
+/// parts: the length block needs only the total length, and a block may
+/// straddle two parts.
+#[must_use]
+pub fn cbc_mac_parts<C: BlockCipher>(cipher: &C, parts: &[&[u8]]) -> Vec<u8> {
     let _span = proverguard_telemetry::trace::span(match C::NAME {
         "aes128" => "crypto.aes128_cbc",
         "speck64_128" => "crypto.speck64_cbc",
         _ => "crypto.cbc_mac",
     });
     let bs = C::BLOCK_SIZE;
+    let total: usize = parts.iter().map(|p| p.len()).sum();
     // Length-prepend block: u64 big-endian length, zero padded to block size.
     let mut state = vec![0u8; bs];
-    let len_bytes = (message.len() as u64).to_be_bytes();
+    let len_bytes = (total as u64).to_be_bytes();
     let copy = len_bytes.len().min(bs);
     state[bs - copy..].copy_from_slice(&len_bytes[len_bytes.len() - copy..]);
     cipher.encrypt_block(&mut state);
 
-    for chunk in message.chunks(bs) {
-        for (s, m) in state.iter_mut().zip(chunk.iter()) {
-            *s ^= m;
+    // `filled` bytes of the current block are already XORed into `state`;
+    // a trailing partial block is zero padded, i.e. encrypted as is.
+    let mut filled = 0;
+    for mut part in parts.iter().copied() {
+        while !part.is_empty() {
+            let take = (bs - filled).min(part.len());
+            for (s, m) in state[filled..filled + take].iter_mut().zip(&part[..take]) {
+                *s ^= m;
+            }
+            filled += take;
+            part = &part[take..];
+            if filled == bs {
+                cipher.encrypt_block(&mut state);
+                filled = 0;
+            }
         }
+    }
+    if filled > 0 {
         cipher.encrypt_block(&mut state);
     }
     state

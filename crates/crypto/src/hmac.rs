@@ -75,9 +75,18 @@ impl HmacSha1 {
     /// One-shot convenience: `HMAC(key, message)`.
     #[must_use]
     pub fn mac(key: &[u8], message: &[u8]) -> [u8; DIGEST_SIZE] {
+        Self::mac_parts(key, &[message])
+    }
+
+    /// `HMAC(key, parts[0] ‖ parts[1] ‖ …)` without concatenating the
+    /// parts.
+    #[must_use]
+    pub fn mac_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_SIZE] {
         let _span = proverguard_telemetry::trace::span("crypto.hmac_sha1");
         let mut h = HmacSha1::new(key);
-        h.update(message);
+        for part in parts {
+            h.update(part);
+        }
         h.finalize()
     }
 

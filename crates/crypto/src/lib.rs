@@ -36,7 +36,7 @@
 //!
 //! [RFC 2104]: https://www.rfc-editor.org/rfc/rfc2104
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

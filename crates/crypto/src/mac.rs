@@ -21,7 +21,8 @@
 //! ```
 
 use crate::aes::Aes128;
-use crate::cbc::{cbc_mac, cbc_mac_verify};
+use crate::cbc::cbc_mac_parts;
+use crate::ct::ct_eq;
 use crate::error::CryptoError;
 use crate::hmac::HmacSha1;
 use crate::speck::Speck64_128;
@@ -132,20 +133,35 @@ impl MacKey {
     /// Computes the tag over `message`.
     #[must_use]
     pub fn compute(&self, message: &[u8]) -> Vec<u8> {
-        match &self.inner {
-            MacKeyInner::Hmac(key) => HmacSha1::mac(key, message).to_vec(),
-            MacKeyInner::Aes(cipher) => cbc_mac(cipher, message),
-            MacKeyInner::Speck(cipher) => cbc_mac(cipher, message),
-        }
+        self.compute_parts(&[message])
     }
 
     /// Verifies `tag` over `message` in constant time.
     #[must_use]
     pub fn verify(&self, message: &[u8], tag: &[u8]) -> bool {
+        self.verify_parts(&[message], tag)
+    }
+
+    /// Computes the tag over `parts[0] ‖ parts[1] ‖ …` — a gather MAC, so
+    /// callers holding a header and a large body in separate buffers need
+    /// not concatenate them. Equal to [`MacKey::compute`] over the
+    /// concatenation, for every algorithm.
+    #[must_use]
+    pub fn compute_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
         match &self.inner {
-            MacKeyInner::Hmac(key) => HmacSha1::verify(key, message, tag),
-            MacKeyInner::Aes(cipher) => cbc_mac_verify(cipher, message, tag),
-            MacKeyInner::Speck(cipher) => cbc_mac_verify(cipher, message, tag),
+            MacKeyInner::Hmac(key) => HmacSha1::mac_parts(key, parts).to_vec(),
+            MacKeyInner::Aes(cipher) => cbc_mac_parts(cipher, parts),
+            MacKeyInner::Speck(cipher) => cbc_mac_parts(cipher, parts),
+        }
+    }
+
+    /// Verifies `tag` over `parts[0] ‖ parts[1] ‖ …` in constant time.
+    #[must_use]
+    pub fn verify_parts(&self, parts: &[&[u8]], tag: &[u8]) -> bool {
+        match &self.inner {
+            MacKeyInner::Hmac(key) => ct_eq(&HmacSha1::mac_parts(key, parts), tag),
+            MacKeyInner::Aes(cipher) => ct_eq(&cbc_mac_parts(cipher, parts), tag),
+            MacKeyInner::Speck(cipher) => ct_eq(&cbc_mac_parts(cipher, parts), tag),
         }
     }
 }
@@ -214,6 +230,57 @@ mod tests {
         assert_eq!(MacAlgorithm::HmacSha1.to_string(), "SHA1-HMAC");
         assert_eq!(MacAlgorithm::Aes128Cbc.to_string(), "AES-128 (CBC)");
         assert_eq!(MacAlgorithm::Speck64Cbc.to_string(), "Speck 64/128 (CBC)");
+    }
+
+    /// One-shot tags built independently of the gather path: streaming
+    /// HMAC, and CBC-MAC as the last block of a CBC encryption of the
+    /// length block followed by the zero-padded message.
+    fn one_shot(alg: MacAlgorithm, key: &[u8; 16], message: &[u8]) -> Vec<u8> {
+        fn cbc_tag<C: crate::BlockCipher>(cipher: &C, message: &[u8]) -> Vec<u8> {
+            let bs = C::BLOCK_SIZE;
+            let mut data = vec![0u8; bs - 8];
+            data.extend_from_slice(&(message.len() as u64).to_be_bytes());
+            data.extend_from_slice(message);
+            data.resize(data.len().div_ceil(bs) * bs, 0);
+            crate::cbc::encrypt(cipher, &vec![0u8; bs], &mut data).unwrap();
+            data[data.len() - bs..].to_vec()
+        }
+        match alg {
+            MacAlgorithm::HmacSha1 => {
+                let mut h = HmacSha1::new(key);
+                h.update(message);
+                h.finalize().to_vec()
+            }
+            MacAlgorithm::Aes128Cbc => cbc_tag(&Aes128::from_key(key), message),
+            MacAlgorithm::Speck64Cbc => cbc_tag(&Speck64_128::from_key(key), message),
+        }
+    }
+
+    #[test]
+    fn parts_equal_one_shot_at_every_split() {
+        let message: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(37)).collect();
+        for alg in MacAlgorithm::ALL {
+            let key = MacKey::new(alg, &[0x5a; 16]).unwrap();
+            let tag = one_shot(alg, &[0x5a; 16], &message);
+            assert_eq!(key.compute(&message), tag, "{alg}");
+            assert!(key.verify(&message, &tag), "{alg}");
+            for a in 0..=message.len() {
+                for b in a..=message.len() {
+                    let parts = [&message[..a], &message[a..b], &message[b..]];
+                    assert_eq!(key.compute_parts(&parts), tag, "{alg} split {a}/{b}");
+                    assert!(key.verify_parts(&parts, &tag), "{alg} split {a}/{b}");
+                }
+                assert!(!key.verify_parts(&[&message[..a], &message[a..]], &tag[1..]));
+            }
+            assert_eq!(
+                key.compute_parts(&[]),
+                one_shot(alg, &[0x5a; 16], b""),
+                "{alg}"
+            );
+            let mut forged = tag.clone();
+            forged[0] ^= 1;
+            assert!(!key.verify_parts(&[&message], &forged), "{alg}");
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! synthetic images, no MCU) so thousands of rounds are cheap and every
 //! divergence — honest, tampered, wrong-image — is scripted
 //! deterministically from the op words.
+//!
+//! A second property pins the copy-free expected view itself: the shared
+//! baseline with the freshness word laid over it must be byte-for-byte,
+//! digest-for-digest and verdict-for-verdict the image
+//! `patch_expected_image` materialises.
 
 use std::sync::Arc;
 
@@ -18,7 +23,7 @@ use proptest::prelude::*;
 use proverguard_attest::freshness::{patch_expected_command_counter, patch_expected_image};
 use proverguard_attest::gateway::DeviceDirectory;
 use proverguard_attest::imagecache::ImageCache;
-use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope};
+use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope, FreshnessField};
 use proverguard_attest::prover::ProverConfig;
 use proverguard_attest::segcache::{
     combined_input, history_input, segment_digest, segment_digests, HistoryReport, SegmentedParams,
@@ -284,5 +289,96 @@ proptest! {
 
         let stats = cache.stats();
         prop_assert!(stats.conservation_holds(), "conservation law violated: {:?}", stats);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn copy_free_view_matches_materialised_copy(
+        seed in any::<u64>(),
+        image_len in 0usize..1500,
+        segment_len in 1usize..300,
+        field_words in proptest::collection::vec(any::<u64>(), 1..10),
+    ) {
+        let mut rng = seed;
+        let image: Vec<u8> = (0..image_len).map(|_| splitmix64(&mut rng) as u8).collect();
+        let cfg = ProverConfig {
+            segmented: Some(SegmentedParams { segment_len: segment_len as u32 }),
+            ..ProverConfig::recommended()
+        };
+        let key = MacKey::new(cfg.response_mac, &KEY).expect("mac key");
+        let mut directory = DeviceDirectory::new();
+        let id = directory.register(Verifier::new(&cfg, &KEY).expect("verifier"), image.clone());
+
+        // One device bound to a sequence of requests: every field kind,
+        // including nonce / no-freshness after a counter (back to the
+        // plain baseline).
+        for word in field_words {
+            let field = match word % 4 {
+                0 => FreshnessField::Counter(word >> 2),
+                1 => FreshnessField::Timestamp(word >> 2),
+                2 => FreshnessField::Nonce([word as u8; 16]),
+                _ => FreshnessField::None,
+            };
+            let mut copy = image.clone();
+            patch_expected_image(&mut copy, &field);
+            let sweep = segment_digests(&copy, segment_len);
+            let flip = (word as usize >> 8) % image_len.max(1);
+            let checked = directory.with_expected(id, &field, |view| {
+                prop_assert_eq!(view.memory().len(), copy.len());
+                prop_assert_eq!(view.parts(0, usize::MAX).concat(), copy.clone());
+                let (a, b) = (flip / 2, flip + segment_len);
+                prop_assert_eq!(view.parts(a, b).concat(), copy[a..b.min(copy.len())].to_vec());
+                prop_assert_eq!(view.digests(segment_len), sweep.clone());
+                for (i, digest) in sweep.iter().enumerate() {
+                    prop_assert_eq!(view.segment_digest_at(i, segment_len), *digest);
+                }
+                // A granularity the baseline was not digested at.
+                prop_assert_eq!(
+                    view.digests(segment_len + 1),
+                    segment_digests(&copy, segment_len + 1)
+                );
+
+                // Whole and Segmented verdicts, honest and over a one-byte
+                // tampered image, agree with the materialised copy.
+                let mut tampered = copy.clone();
+                if let Some(byte) = tampered.get_mut(flip) {
+                    *byte ^= 0x10;
+                }
+                for scope in [AttestScope::Whole, AttestScope::Segmented] {
+                    let request = AttestRequest {
+                        scope,
+                        freshness: field,
+                        challenge: [word as u8; 16],
+                        auth: Vec::new(),
+                    };
+                    for presented in [&copy, &tampered] {
+                        let report = match scope {
+                            AttestScope::Whole => {
+                                key.compute(&[request.signed_bytes(), presented.clone()].concat())
+                            }
+                            _ => key.compute(&combined_input(
+                                &request.signed_bytes(),
+                                segment_len as u32,
+                                &segment_digests(presented, segment_len),
+                            )),
+                        };
+                        let response = AttestResponse { report };
+                        let oracle = directory
+                            .with_verifier(id, |v| v.check_response(&request, &response, &copy))
+                            .expect("registered");
+                        let viewed = directory
+                            .with_verifier(id, |v| v.check_response_view(&request, &response, view))
+                            .expect("registered");
+                        prop_assert_eq!(viewed, oracle, "{:?} verdict on {:?}", scope, field);
+                        prop_assert_eq!(oracle, presented == &copy);
+                    }
+                }
+                Ok(())
+            });
+            checked.expect("registered")?;
+        }
     }
 }
