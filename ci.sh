@@ -1,8 +1,51 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, and the tier-1 build + test run.
-# Usage: ./ci.sh
+# Usage: ./ci.sh               the full gate
+#        ./ci.sh --repeat N    only the timing-sensitive gates, N times as
+#                              they are and N times pinned to one CPU
+#                              (`taskset -c 0`), then a pass count per gate
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [[ "${1:-}" == --repeat ]]; then
+    runs="${2:?usage: ./ci.sh --repeat N}"
+    gates=(
+        "gateway_scale --ci|cargo run --release -q -p proverguard-bench --bin gateway_scale -- --ci"
+        "gateway_bench --ci|cargo run --release -q -p proverguard-bench --bin gateway_bench -- --ci"
+        "--test reactor_gateway|cargo test -q --test reactor_gateway"
+        "--test imagecache_concurrency|cargo test -q --test imagecache_concurrency"
+    )
+    echo "== build =="
+    cargo build --release -q -p proverguard-bench --bin gateway_scale --bin gateway_bench
+    cargo test -q --no-run --test reactor_gateway --test imagecache_concurrency
+    log="$(mktemp)"
+    declare -A passed
+    for pin in "" "taskset -c 0"; do
+        for ((run = 1; run <= runs; run++)); do
+            for gate in "${gates[@]}"; do
+                name="${gate%%|*}"
+                label="$name${pin:+ ($pin)}"
+                if $pin ${gate#*|} >"$log" 2>&1; then
+                    passed[$label]=$((${passed[$label]:-0} + 1))
+                else
+                    echo "FAILED run $run: $label"
+                    tail -n 20 "$log"
+                fi
+            done
+        done
+    done
+    rm -f "$log"
+    echo "== pass count per gate ($runs runs each) =="
+    failed=0
+    for pin in "" "taskset -c 0"; do
+        for gate in "${gates[@]}"; do
+            label="${gate%%|*}${pin:+ ($pin)}"
+            echo "$label: ${passed[$label]:-0}/$runs"
+            ((${passed[$label]:-0} == runs)) || failed=1
+        done
+    done
+    exit "$failed"
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check

@@ -12,19 +12,17 @@
 //!
 //! Structure:
 //!
-//! - [`ImageKey`] — content-addressed cache key: a domain-separated SHA-1
-//!   over `(segment_len, image_len, image_bytes)`. Binding `segment_len`
-//!   into the key is the "scope" dimension: the same bytes deployed at a
-//!   different digest granularity (or whole-memory-only, `segment_len =
-//!   0`) are a *different* cache entry, so a digest vector can never be
-//!   consulted at the wrong granularity. The derivation is frozen by
-//!   golden vectors (`tests/golden_vectors.rs`).
+//! - [`ImageKey`] — content-addressed name of an entry: a
+//!   domain-separated SHA-1 over `(segment_len, image_len, image_bytes)`,
+//!   derived once per distinct image (on the miss that interns it) and
+//!   used to invalidate it. The derivation is frozen by golden vectors
+//!   (`tests/golden_vectors.rs`).
 //! - [`CachedImage`] — one interned baseline: the image bytes plus its
 //!   precomputed digest vector, immutable behind an [`Arc`] so gateway
 //!   shards and worker threads share it without copying.
-//! - [`ImageCache`] — the LRU-bounded shared map from key to
-//!   [`CachedImage`], with atomic hit/miss/eviction/invalidation stats
-//!   that satisfy a CI-checked conservation law
+//! - [`ImageCache`] — the LRU-bounded shared set of [`CachedImage`]s,
+//!   with atomic hit/miss/eviction/invalidation stats that satisfy a
+//!   CI-checked conservation law
 //!   ([`ImageCacheSnapshot::conservation_holds`]).
 //! - [`ExpectedView`] — what the verifier actually checks against: the
 //!   shared baseline bytes with the request's 8-byte freshness word laid
@@ -32,6 +30,19 @@
 //!   digest vector and the segments the word lands in. Segmented and
 //!   History verification re-digest only those segments; everything else
 //!   comes straight from the baseline.
+//!
+//! **Lookup is by exact bytes.** [`ImageCache::intern`] hits iff a
+//! resident entry has the same `segment_len` and the same bytes (length
+//! first, then a memcmp). Binding `segment_len` is the "scope" dimension:
+//! the same bytes deployed at a different digest granularity (or
+//! whole-memory-only, `segment_len = 0`) are a *different* entry, so a
+//! digest vector is never consulted at the wrong granularity. Comparing
+//! bytes rather than keys has two effects. A registering device whose
+//! image is already resident costs a memcmp (~6 µs for 128 KiB) instead
+//! of a SHA-1 over the image (~110 µs). And deduplication does not rest
+//! on SHA-1 collision resistance: two different images with colliding
+//! keys get two entries, so one device is never checked against another
+//! device's firmware.
 //!
 //! **Why outer MACs stay per-device:** the combine MAC
 //! (`MAC(K, header ‖ … ‖ d_0 … d_{n-1})`, DESIGN §12) is keyed with the
@@ -306,26 +317,44 @@ impl ImageCache {
     }
 
     /// Interns `image` at `segment_len` granularity: returns the resident
-    /// entry if the identical image is already cached (hit), otherwise
-    /// performs the one digest sweep, inserts, and LRU-evicts past
-    /// capacity.
+    /// entry holding exactly these bytes at this granularity (hit),
+    /// otherwise derives the key, performs the one digest sweep, inserts,
+    /// and LRU-evicts past capacity.
+    ///
+    /// A hit is decided by comparing bytes, not keys, so it costs a
+    /// memcmp instead of a SHA-1 over the image, and two different images
+    /// can never share an entry however their keys compare. The compare
+    /// runs outside the mutex: concurrent [`Self::touch`] calls never wait
+    /// on it.
     pub fn intern(&self, image: &[u8], segment_len: u32) -> Arc<CachedImage> {
-        let key = ImageKey::derive(image, segment_len);
         self.lookups.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("imagecache.lookup", 1);
-        {
+        let candidates: Vec<Arc<CachedImage>> = {
+            let inner = self.inner.lock().expect("image cache poisoned");
+            inner
+                .slots
+                .iter()
+                .filter(|s| {
+                    s.image.segment_len == segment_len && s.image.bytes.len() == image.len()
+                })
+                .map(|s| Arc::clone(&s.image))
+                .collect()
+        };
+        if let Some(hit) = candidates.into_iter().find(|c| c.bytes() == image) {
             let mut inner = self.inner.lock().expect("image cache poisoned");
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some(slot) = inner.slots.iter_mut().find(|s| *s.image.key() == key) {
+            // The entry may have been evicted or invalidated since; the
+            // caller's handle stays valid and its next `touch` refills it.
+            if let Some(slot) = inner.slots.iter_mut().find(|s| Arc::ptr_eq(&s.image, &hit)) {
                 slot.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::counter_add("imagecache.hit", 1);
-                return Arc::clone(&slot.image);
             }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            metrics::counter_add("imagecache.hit", 1);
+            return hit;
         }
-        // Miss: digest outside the lock (the sweep is the expensive part
-        // and the image is function-local).
+        // Miss: key and digests outside the lock (the sweep is the
+        // expensive part and the image is function-local).
         self.misses.fetch_add(1, Ordering::Relaxed);
         metrics::counter_add("imagecache.miss", 1);
         if segment_len != 0 {
@@ -368,9 +397,14 @@ impl ImageCache {
         inner.tick += 1;
         let tick = inner.tick;
         let key = *entry.key();
-        // A racing thread may have inserted the same key while we were
-        // digesting; keep the resident one.
-        if let Some(slot) = inner.slots.iter_mut().find(|s| *s.image.key() == key) {
+        // A racing thread may have inserted the same image while we were
+        // digesting; keep the resident one. Only a miss or a refill gets
+        // here, so the compare under the lock is off the per-verdict path.
+        if let Some(slot) = inner
+            .slots
+            .iter_mut()
+            .find(|s| s.image.segment_len == entry.segment_len && s.image.bytes == entry.bytes)
+        {
             slot.last_used = tick;
             return;
         }
@@ -445,6 +479,17 @@ impl ImageCache {
             digest_sweeps: self.digest_sweeps.load(Ordering::Relaxed),
             scratch_rebuilds: self.scratch_rebuilds.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Test seam: makes `image` resident exactly as built, whatever key it
+/// carries — how the tests plant a forged key collision.
+#[cfg(test)]
+impl ImageCache {
+    fn plant(&self, image: CachedImage) -> Arc<CachedImage> {
+        let entry = Arc::new(image);
+        self.insert(Arc::clone(&entry));
+        entry
     }
 }
 
@@ -698,6 +743,80 @@ mod tests {
         let _ = cache.intern(&image(2, 128), 64);
         assert_eq!(cache.invalidate_all(), 2);
         assert!(cache.stats().conservation_holds());
+    }
+
+    #[test]
+    fn forged_key_collision_never_shares_a_baseline() {
+        use crate::message::{AttestRequest, AttestResponse, AttestScope, FreshnessField};
+        use crate::prover::ProverConfig;
+        use crate::verifier::Verifier;
+        use proverguard_crypto::mac::MacKey;
+
+        const SEG: u32 = 256;
+        let key_bytes = [0x5Au8; 16];
+        let cfg = ProverConfig {
+            segmented: Some(segcache::SegmentedParams { segment_len: SEG }),
+            ..ProverConfig::recommended()
+        };
+        let mac = MacKey::new(cfg.response_mac, &key_bytes).expect("mac key");
+        let verifier = Verifier::new(&cfg, &key_bytes).expect("verifier");
+
+        // A resident entry holding image `b` but carrying image `a`'s key:
+        // what a SHA-1 collision between two expected images would plant.
+        let (a, b) = (image(1, 1000), image(2, 1000));
+        let cache = ImageCache::new(4);
+        let forged = cache.plant(CachedImage {
+            key: ImageKey::derive(&a, SEG),
+            ..CachedImage::compute(b.clone(), SEG)
+        });
+        let before = cache.stats();
+        let real = cache.intern(&a, SEG);
+        let s = cache.stats() - before;
+        assert!(
+            !Arc::ptr_eq(&real, &forged),
+            "a forged key shared a baseline"
+        );
+        assert_eq!(real.bytes(), &a[..]);
+        assert_eq!(
+            real.digests(),
+            &segcache::segment_digests(&a, SEG as usize)[..]
+        );
+        assert_eq!((s.lookups, s.hits, s.misses, s.digest_sweeps), (1, 0, 1, 1));
+        assert!(cache.stats().conservation_holds());
+
+        // Each view verdicts exactly like the uncached reference on its own
+        // bytes, for responses honestly built from either image.
+        for (entry, expected) in [(&real, &a), (&forged, &b)] {
+            let view = ExpectedView::cached(entry, None, &[]);
+            for scope in [AttestScope::Whole, AttestScope::Segmented] {
+                let request = AttestRequest {
+                    scope,
+                    freshness: FreshnessField::None,
+                    challenge: [7; 16],
+                    auth: Vec::new(),
+                };
+                for presented in [&a, &b] {
+                    let report = match scope {
+                        AttestScope::Whole => {
+                            mac.compute(&[request.signed_bytes(), presented.clone()].concat())
+                        }
+                        _ => mac.compute(&segcache::combined_input(
+                            &request.signed_bytes(),
+                            SEG,
+                            &segcache::segment_digests(presented, SEG as usize),
+                        )),
+                    };
+                    let response = AttestResponse { report };
+                    let reference = verifier.check_response(&request, &response, expected);
+                    assert_eq!(reference, presented == expected);
+                    assert_eq!(
+                        verifier.check_response_view(&request, &response, &view),
+                        reference,
+                        "{scope:?} verdict diverged from the uncached reference"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

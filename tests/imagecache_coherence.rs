@@ -16,13 +16,17 @@
 //! baseline with the freshness word laid over it must be byte-for-byte,
 //! digest-for-digest and verdict-for-verdict the image
 //! `patch_expected_image` materialises.
+//!
+//! A third pins interning: two registrations share a baseline exactly when
+//! their bytes and digest granularity are equal, however near the miss.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use proverguard_attest::freshness::{patch_expected_command_counter, patch_expected_image};
 use proverguard_attest::gateway::DeviceDirectory;
-use proverguard_attest::imagecache::ImageCache;
+use proverguard_attest::imagecache::{CachedImage, ImageCache, ImageKey};
 use proverguard_attest::message::{AttestRequest, AttestResponse, AttestScope, FreshnessField};
 use proverguard_attest::prover::ProverConfig;
 use proverguard_attest::segcache::{
@@ -380,5 +384,88 @@ proptest! {
             });
             checked.expect("registered")?;
         }
+    }
+}
+
+/// Digest granularities the interning property moves images between
+/// (0 = whole-memory-only, no digest vector).
+const GRANULARITIES: [u32; 4] = [0, 1, 64, 256];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn interning_shares_a_baseline_iff_bytes_and_granularity_match(
+        seed in any::<u64>(),
+        len in 0usize..600,
+        ops in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let mut rng = seed;
+        let base: Vec<u8> = (0..len).map(|_| splitmix64(&mut rng) as u8).collect();
+        // Each registration is a near-duplicate of an earlier one.
+        let mut pool: Vec<(Vec<u8>, u32)> = vec![(base, SEGMENT_LEN)];
+        for op in ops {
+            let (kind, word) = (op % 4, op >> 2);
+            let (mut bytes, seg) = pool[(word % pool.len() as u64) as usize].clone();
+            let pick = (word >> 8) as usize;
+            let next = match kind {
+                // One byte flipped: the last byte on even words, anywhere
+                // on odd ones.
+                0 => {
+                    if bytes.is_empty() {
+                        bytes.push(word as u8);
+                    } else {
+                        let at = if word & 1 == 0 { bytes.len() - 1 } else { pick % bytes.len() };
+                        bytes[at] ^= 1 << (word >> 5 & 7);
+                    }
+                    (bytes, seg)
+                }
+                // The same bytes at another granularity.
+                1 => {
+                    let others: Vec<u32> = GRANULARITIES.into_iter().filter(|&g| g != seg).collect();
+                    (bytes, others[pick % others.len()])
+                }
+                // The same prefix at another length, shorter or longer.
+                2 => {
+                    if word & 1 == 0 && !bytes.is_empty() {
+                        bytes.truncate(pick % bytes.len());
+                    } else {
+                        bytes.extend((0..1 + pick % 9).map(|i| (word >> i) as u8));
+                    }
+                    (bytes, seg)
+                }
+                // An exact duplicate.
+                _ => (bytes, seg),
+            };
+            pool.push(next);
+        }
+
+        // Room for every distinct pair: no eviction blurs the counts.
+        let cache = ImageCache::new(pool.len());
+        let handles: Vec<Arc<CachedImage>> =
+            pool.iter().map(|(bytes, seg)| cache.intern(bytes, *seg)).collect();
+        for (i, (handle, (bytes, seg))) in handles.iter().zip(&pool).enumerate() {
+            prop_assert_eq!(handle.bytes(), &bytes[..]);
+            prop_assert_eq!(handle.segment_len(), *seg);
+            prop_assert_eq!(*handle.key(), ImageKey::derive(bytes, *seg));
+            for (j, other) in handles.iter().enumerate() {
+                prop_assert_eq!(
+                    Arc::ptr_eq(handle, other),
+                    pool[i] == pool[j],
+                    "registrations {} and {} (granularity {} vs {})", i, j, seg, pool[j].1
+                );
+            }
+        }
+
+        let distinct: HashSet<&(Vec<u8>, u32)> = pool.iter().collect();
+        let stats = cache.stats();
+        prop_assert_eq!(stats.lookups, pool.len() as u64);
+        prop_assert_eq!(stats.misses, distinct.len() as u64);
+        prop_assert_eq!(stats.hits, (pool.len() - distinct.len()) as u64);
+        prop_assert_eq!(
+            stats.digest_sweeps,
+            distinct.iter().filter(|(_, seg)| *seg != 0).count() as u64
+        );
+        prop_assert!(stats.conservation_holds(), "conservation law violated: {:?}", stats);
     }
 }
