@@ -68,8 +68,8 @@ cargo test --release -p proverguard-crypto
 echo "== benchmark package tests (catches library API changes that break perfbench) =="
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== attest pipeline conformance (segcache / imagecache / golden vectors / session model) =="
-cargo test -q --test segcache_coherence --test imagecache_coherence --test golden_vectors --test session_state_machine
+echo "== attest pipeline conformance (segcache / imagecache / golden vectors / session model / in-place prover read) =="
+cargo test -q --test segcache_coherence --test imagecache_coherence --test golden_vectors --test session_state_machine --test prover_inplace --test prover_alloc_guard
 
 echo "== chaos soak (short deterministic gate) =="
 cargo run --release -q -p proverguard-bench --bin fleet_soak -- --ci

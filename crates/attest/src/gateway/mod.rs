@@ -1943,12 +1943,10 @@ impl ProverAgent {
                         .mcu()
                         .cost_table()
                         .mac_cost(MacAlgorithm::HmacSha1, raw.len());
+                    let stage = self.prover.charge_stage("prover.session_auth", open_cycles);
                     let session = self.session.as_mut().expect("session checked above");
-                    let opened =
-                        self.prover
-                            .charge_stage("prover.session_auth", open_cycles, |_| {
-                                session.open(&raw)
-                            });
+                    let opened = session.open(&raw);
+                    drop(stage);
                     let payload = match opened {
                         Ok(payload) => payload,
                         Err(e) => {
@@ -1987,12 +1985,10 @@ impl ProverAgent {
                         .mcu()
                         .cost_table()
                         .mac_cost(MacAlgorithm::HmacSha1, inner.len());
+                    let stage = self.prover.charge_stage("prover.session_seal", seal_cycles);
                     let session = self.session.as_mut().expect("session checked above");
-                    let frame =
-                        self.prover
-                            .charge_stage("prover.session_seal", seal_cycles, |_| {
-                                session.seal_next(&inner)
-                            });
+                    let frame = session.seal_next(&inner);
+                    drop(stage);
                     if conn.send(&GatewayMsg::SessFrame(frame).encode()).is_err() {
                         return drain_outcome(conn, requests_handled);
                     }

@@ -15,6 +15,7 @@ use proverguard_mcu::map;
 use proverguard_mcu::rtc::HwRtc;
 use proverguard_mcu::timer::TIMER_WRAP_VECTOR;
 use proverguard_mcu::CLOCK_HZ;
+use proverguard_telemetry::trace;
 
 use crate::admission::{
     AdmissionController, AdmissionDecision, AdmissionPolicy, AdmissionSnapshot,
@@ -843,7 +844,7 @@ impl Prover {
             parse_cycles: PARSE_OVERHEAD_CYCLES,
             ..CostBreakdown::default()
         };
-        self.charge_stage("prover.parse", cost.parse_cycles, |_| ());
+        drop(self.charge_stage("prover.parse", cost.parse_cycles));
         match AttestRequest::from_bytes(bytes) {
             Ok(request) => self
                 .handle_parsed(&request, cost, preauth)
@@ -873,15 +874,15 @@ impl Prover {
         // a throttled request costs the bucket compare, nothing more.
         if self.admission.is_some() {
             cost.admission_cycles = ADMISSION_OVERHEAD_CYCLES;
-            let decision = self.charge_stage("prover.admission", cost.admission_cycles, |p| {
-                let battery_fraction = p.mcu.battery().remaining_fraction();
-                let now_cycles = p.mcu.clock().cycles();
-                let fresh = p.freshness_peek(&request.freshness);
-                p.admission.as_mut().map(|ctrl| {
-                    ctrl.refill(now_cycles);
-                    ctrl.decide(battery_fraction, fresh)
-                })
+            let stage = self.charge_stage("prover.admission", cost.admission_cycles);
+            let battery_fraction = self.mcu.battery().remaining_fraction();
+            let now_cycles = self.mcu.clock().cycles();
+            let fresh = self.freshness_peek(&request.freshness);
+            let decision = self.admission.as_mut().map(|ctrl| {
+                ctrl.refill(now_cycles);
+                ctrl.decide(battery_fraction, fresh)
             });
+            drop(stage);
             match decision {
                 None | Some(AdmissionDecision::Admit) => {}
                 Some(AdmissionDecision::Throttled) => {
@@ -906,9 +907,9 @@ impl Prover {
         // check is skipped — the amortization the channel layer exists for.
         if !preauth {
             cost.auth_cycles = self.checker.check_cycles(self.mcu.cost_table());
-            let authentic = self.charge_stage("prover.auth", cost.auth_cycles, |p| {
-                p.checker.check(&message, &request.auth)
-            });
+            let stage = self.charge_stage("prover.auth", cost.auth_cycles);
+            let authentic = self.checker.check(&message, &request.auth);
+            drop(stage);
             if !authentic {
                 self.stats.rejected_auth = self.stats.rejected_auth.saturating_add(1);
                 self.finish(cost);
@@ -956,10 +957,11 @@ impl Prover {
         self.clock.service_interrupts(&mut self.mcu)?;
         let now = self.synced_now_ms()?;
         cost.freshness_cycles = FRESHNESS_OVERHEAD_CYCLES;
-        let freshness_verdict = self.charge_stage("prover.freshness", cost.freshness_cycles, |p| {
-            p.policy
-                .check_and_update(&request.freshness, &mut p.mcu, now)
-        });
+        let stage = self.charge_stage("prover.freshness", cost.freshness_cycles);
+        let freshness_verdict =
+            self.policy
+                .check_and_update(&request.freshness, &mut self.mcu, now);
+        drop(stage);
         if let Err(e) = freshness_verdict {
             if e.is_rejection() {
                 self.stats.rejected_freshness = self.stats.rejected_freshness.saturating_add(1);
@@ -996,30 +998,29 @@ impl Prover {
     }
 
     /// Whole-memory response: MAC over the request header followed by all
-    /// of RAM (§3.1's 754 ms).
+    /// of RAM (§3.1's 754 ms), read in place once the EA-MPU grants
+    /// `Code_Attest` the read.
     fn respond_whole(
         &mut self,
         message: Vec<u8>,
         cost: &mut CostBreakdown,
     ) -> Result<Vec<u8>, AttestError> {
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        self.mcu.check_ram_read(map::ATTEST_PC)?;
+        let ram_len = self.mcu.physical_memory().ram().len();
         cost.response_cycles = self
             .mcu
             .cost_table()
-            .mac_cost(self.config.response_mac, ram.len() + message.len());
-        Ok(
-            self.charge_stage("prover.attest_mac", cost.response_cycles, |p| {
-                p.response_key.compute_parts(&[&message, &ram])
-            }),
-        )
+            .mac_cost(self.config.response_mac, ram_len + message.len());
+        let _stage = self.charge_stage("prover.attest_mac", cost.response_cycles);
+        Ok(self
+            .response_key
+            .compute_parts(&[&message, self.mcu.physical_memory().ram()]))
     }
 
     /// Segmented response: scan the hardware dirty bits, re-digest only
-    /// the segments that are dirty (or missing from the cache), then MAC
-    /// the request header over the full digest list. Each recomputed
-    /// segment's dirty bit is acknowledged **as `Code_Attest`, after its
-    /// digest is taken** — a write landing later marks it dirty again, so
-    /// the cache can go stale-conservative but never stale-trusted.
+    /// the segments that are dirty (or missing from the cache) in place
+    /// ([`Self::redigest_segments`]), then MAC the request header over
+    /// the full digest list.
     fn respond_segmented(
         &mut self,
         message: Vec<u8>,
@@ -1033,46 +1034,24 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        self.mcu.check_ram_read(map::ATTEST_PC)?;
         let seg_len = self.mcu.segment_len() as usize;
         let seg_count = self.mcu.segment_count();
 
         // Scan: one dirty-bit test per segment. A segment is served from
         // cache only when its hardware bit is clear AND a digest is live.
         let scan_cycles = SEG_SCAN_CYCLES * seg_count as u64;
-        let todo: Vec<usize> = self.charge_stage("prover.attest_mac.cached", scan_cycles, |p| {
-            let cache = p.segcache.as_ref().expect("segmented scope requires cache");
-            (0..seg_count)
-                .filter(|&i| p.mcu.segment_dirty(i) || !cache.has(i))
-                .collect()
-        });
+        let stage = self.charge_stage("prover.attest_mac.cached", scan_cycles);
+        let cache = self
+            .segcache
+            .as_ref()
+            .expect("segmented scope requires cache");
+        let todo: Vec<usize> = (0..seg_count)
+            .filter(|&i| self.mcu.segment_dirty(i) || !cache.has(i))
+            .collect();
+        drop(stage);
 
-        // Recompute: SHA-1 over each stale segment, acknowledging its
-        // dirty bit as Code_Attest once the digest is in hand.
-        let recompute_cycles: u64 = todo
-            .iter()
-            .map(|&i| {
-                let len = ram[i * seg_len..].len().min(seg_len);
-                self.mcu
-                    .cost_table()
-                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
-            })
-            .sum();
-        let ack_result: Result<(), AttestError> =
-            self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
-                for &i in &todo {
-                    let start = i * seg_len;
-                    let end = (start + seg_len).min(ram.len());
-                    let digest = segcache::segment_digest(i as u32, &ram[start..end]);
-                    p.segcache
-                        .as_mut()
-                        .expect("segmented scope requires cache")
-                        .store(i, digest);
-                    p.mcu.acknowledge_segment(i, map::ATTEST_PC)?;
-                }
-                Ok(())
-            });
-        ack_result?;
+        let (_, recompute_cycles) = self.redigest_segments(&todo)?;
 
         let cache = self
             .segcache
@@ -1098,9 +1077,48 @@ impl Prover {
             .cost_table()
             .mac_cost(self.config.response_mac, combined.len());
         cost.response_cycles = scan_cycles + recompute_cycles + combine_cycles;
-        Ok(self.charge_stage("prover.attest_mac", combine_cycles, |p| {
-            p.response_key.compute(&combined)
-        }))
+        let _stage = self.charge_stage("prover.attest_mac", combine_cycles);
+        Ok(self.response_key.compute(&combined))
+    }
+
+    /// Re-digests the segments in `todo` straight from RAM under the
+    /// `prover.attest_mac.recomputed` stage, refreshes the segment cache,
+    /// and only then acknowledges each segment's dirty bit **as
+    /// `Code_Attest`**. Every digest is in hand before its bit clears and
+    /// nothing in between writes RAM, so a write landing later marks the
+    /// segment dirty again: the cache can go stale-conservative but never
+    /// stale-trusted. Returns the fresh digests in `todo` order and the
+    /// cycles charged.
+    fn redigest_segments(
+        &mut self,
+        todo: &[usize],
+    ) -> Result<(Vec<[u8; DIGEST_SIZE]>, u64), AttestError> {
+        let seg_len = self.mcu.segment_len() as usize;
+        let ram_len = self.mcu.physical_memory().ram().len();
+        let segment = |i: usize| i * seg_len..ram_len.min((i + 1) * seg_len);
+        let cycles: u64 = todo
+            .iter()
+            .map(|&i| {
+                self.mcu
+                    .cost_table()
+                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + segment(i).len())
+            })
+            .sum();
+        let _stage = self.charge_stage("prover.attest_mac.recomputed", cycles);
+        let ram = self.mcu.physical_memory().ram();
+        let fresh: Vec<[u8; DIGEST_SIZE]> = todo
+            .iter()
+            .map(|&i| segcache::segment_digest(i as u32, &ram[segment(i)]))
+            .collect();
+        if let Some(cache) = self.segcache.as_mut() {
+            for (&i, &digest) in todo.iter().zip(&fresh) {
+                cache.store(i, digest);
+            }
+        }
+        for &i in todo {
+            self.mcu.acknowledge_segment(i, map::ATTEST_PC)?;
+        }
+        Ok((fresh, cycles))
     }
 
     /// History response: scan the per-segment last-write epoch log,
@@ -1131,7 +1149,7 @@ impl Prover {
             self.fault_mark = self.mcu.fault_log().len();
         }
 
-        let ram = self.mcu.ram_snapshot(map::ATTEST_PC)?;
+        self.mcu.check_ram_read(map::ATTEST_PC)?;
         let seg_len = self.mcu.segment_len() as usize;
         let seg_count = self.mcu.segment_count();
         let round = self.mcu.epoch();
@@ -1139,41 +1157,17 @@ impl Prover {
         // Scan: one epoch compare per segment — a load, a compare and a
         // branch, same cost class as the dirty-bit test.
         let scan_cycles = SEG_SCAN_CYCLES * seg_count as u64;
-        let modified: Vec<bool> = self.charge_stage("prover.attest_mac.cached", scan_cycles, |p| {
-            (0..seg_count)
-                .map(|i| p.mcu.segment_epoch(i) > since_round)
-                .collect()
-        });
+        let stage = self.charge_stage("prover.attest_mac.cached", scan_cycles);
+        let modified: Vec<bool> = (0..seg_count)
+            .map(|i| self.mcu.segment_epoch(i) > since_round)
+            .collect();
+        drop(stage);
         let todo: Vec<usize> = (0..seg_count).filter(|&i| modified[i]).collect();
 
         // Recompute fresh digests for the modified set only, warming the
         // shared segment cache and acknowledging dirty bits exactly as the
         // segmented path does.
-        let recompute_cycles: u64 = todo
-            .iter()
-            .map(|&i| {
-                let len = ram[i * seg_len..].len().min(seg_len);
-                self.mcu
-                    .cost_table()
-                    .sha1_digest_cost(segcache::SEGMENT_PREFIX_LEN + len)
-            })
-            .sum();
-        let digest_result: Result<Vec<[u8; DIGEST_SIZE]>, AttestError> =
-            self.charge_stage("prover.attest_mac.recomputed", recompute_cycles, |p| {
-                let mut fresh = Vec::with_capacity(todo.len());
-                for &i in &todo {
-                    let start = i * seg_len;
-                    let end = (start + seg_len).min(ram.len());
-                    let digest = segcache::segment_digest(i as u32, &ram[start..end]);
-                    if let Some(cache) = p.segcache.as_mut() {
-                        cache.store(i, digest);
-                    }
-                    p.mcu.acknowledge_segment(i, map::ATTEST_PC)?;
-                    fresh.push(digest);
-                }
-                Ok(fresh)
-            });
-        let modified_digests = digest_result?;
+        let (modified_digests, recompute_cycles) = self.redigest_segments(&todo)?;
 
         cost.mac_recomputed_segments = todo.len() as u32;
         cost.mac_cached_segments = (seg_count - todo.len()) as u32;
@@ -1195,9 +1189,9 @@ impl Prover {
             .cost_table()
             .mac_cost(self.config.response_mac, input.len());
         cost.response_cycles = scan_cycles + recompute_cycles + combine_cycles;
-        let mac = self.charge_stage("prover.attest_mac", combine_cycles, |p| {
-            p.response_key.compute(&input)
-        });
+        let stage = self.charge_stage("prover.attest_mac", combine_cycles);
+        let mac = self.response_key.compute(&input);
+        drop(stage);
         self.stats.history_rounds = self.stats.history_rounds.saturating_add(1);
 
         let mut out = report.encode();
@@ -1228,26 +1222,22 @@ impl Prover {
     }
 
     /// Advances the device clock by `cycles` under a telemetry span named
-    /// `name`, then runs `f` (host-side work charged to the same stage:
-    /// the actual MAC/signature computation whose *cost* the advance
-    /// models). The span measures exactly the cycle-clock delta of the
-    /// advance, so the per-phase table sums to
+    /// `name` and returns the open span. The caller runs the host-side
+    /// work charged to the stage (the actual MAC/signature computation
+    /// whose *cost* the advance models) while it holds the guard, then
+    /// drops it. The guard borrows nothing, so that work is free to
+    /// borrow the prover's fields — the response stages MAC and digest
+    /// RAM in place through `self.mcu`. The span measures exactly the
+    /// cycle-clock delta of the advance, so the per-phase table sums to
     /// [`ProverStats::attestation_cycles`]; with the tracer disabled this
     /// is one flag check and zero device cycles.
-    pub(crate) fn charge_stage<R>(
-        &mut self,
-        name: &'static str,
-        cycles: u64,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        use proverguard_telemetry::trace;
+    #[must_use = "the stage's span closes when the guard drops"]
+    pub(crate) fn charge_stage(&mut self, name: &'static str, cycles: u64) -> trace::SpanGuard {
         trace::set_now(self.mcu.clock().cycles());
         let span = trace::span(name);
         self.mcu.advance_active(cycles);
         trace::set_now(self.mcu.clock().cycles());
-        let result = f(self);
-        drop(span);
-        result
+        span
     }
 
     fn finish(&mut self, cost: CostBreakdown) {

@@ -436,17 +436,19 @@ impl Mcu {
         &self.memory
     }
 
-    /// MPU-checked snapshot of the whole RAM (what `Code_Attest` MACs).
+    /// MPU check for a read of the whole RAM by code executing at `pc` —
+    /// the gate `Code_Attest` passes before it MACs RAM in place through
+    /// [`PhysicalMemory::ram`] (§3.1, §6: memory is attested where it
+    /// lies, no copy). A denial is logged like any other bus fault.
     ///
     /// # Errors
     ///
     /// [`McuError::MpuViolation`] if `pc` may not read some protected RAM
     /// word.
-    pub fn ram_snapshot(&mut self, pc: u32) -> Result<Vec<u8>, McuError> {
+    pub fn check_ram_read(&mut self, pc: u32) -> Result<(), McuError> {
         self.mpu
             .check_span(pc, map::RAM.start, map::RAM.len(), AccessKind::Read)
-            .inspect_err(|e| self.fault_log.push(e.clone()))?;
-        Ok(self.memory.ram().to_vec())
+            .inspect_err(|e| self.fault_log.push(e.clone()))
     }
 
     // ---- dirty-region tracking ---------------------------------------------
@@ -830,7 +832,7 @@ mod tests {
     }
 
     #[test]
-    fn ram_snapshot_is_mpu_checked() {
+    fn ram_read_is_mpu_checked() {
         let mut mcu = Mcu::new();
         // Seal a RAM word against everyone except Code_Clock.
         mcu.reconfigure_mpu(map::BOOT_PC, |mpu| {
@@ -842,8 +844,10 @@ mod tests {
             ))
         })
         .unwrap();
-        assert!(mcu.ram_snapshot(map::APP_CODE).is_err());
-        assert!(mcu.ram_snapshot(map::CLOCK_PC).is_ok());
+        assert!(mcu.check_ram_read(map::APP_CODE).is_err());
+        assert_eq!(mcu.fault_log().len(), 1, "a denied RAM read is logged");
+        assert!(mcu.check_ram_read(map::CLOCK_PC).is_ok());
+        assert_eq!(mcu.fault_log().len(), 1, "a granted RAM read is not");
     }
 
     #[test]
@@ -997,11 +1001,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_sees_bus_writes() {
+    fn ram_read_sees_bus_writes() {
         let mut mcu = Mcu::new();
         mcu.bus_write(map::APP_RAM.start, b"hello", map::APP_CODE)
             .unwrap();
-        let snap = mcu.ram_snapshot(map::APP_CODE).unwrap();
+        mcu.check_ram_read(map::APP_CODE).unwrap();
+        let snap = mcu.physical_memory().ram();
         let off = (map::APP_RAM.start - map::RAM.start) as usize;
         assert_eq!(&snap[off..off + 5], b"hello");
     }
